@@ -144,6 +144,7 @@ def run_level4(
                 )
             tspan.set_attr("properties", len(properties))
             tspan.set_attr("holds", module.all_properties_hold)
+            _set_cnf_attrs(tspan, checker.cnf_size)
         # Wrapper (interface) synthesis + equivalence against the reference.
         with telemetry.span("level4.wrapper", module=name):
             module.wrapper_checked = _check_wrapper(
@@ -158,8 +159,16 @@ def run_level4(
                 )
                 module.pcc = pcc.run()
                 tspan.set_attr("coverage", module.pcc.coverage)
+                _set_cnf_attrs(tspan, pcc.cnf_size)
         result.modules[name] = module
     return result
+
+
+def _set_cnf_attrs(tspan, cnf_size: tuple[int, int]) -> None:
+    """Record the CNF an incremental BMC session sent to its solver."""
+    variables, clauses = cnf_size
+    tspan.set_attr("cnf_vars", variables)
+    tspan.set_attr("cnf_clauses", clauses)
 
 
 def _check_wrapper(netlist: Netlist, reference, test_inputs: list[dict[str, int]]) -> bool:

@@ -14,7 +14,10 @@ incremental solver the moment it is emitted, so repeated solves never
 re-add the clause database and learned clauses carry over between
 queries; :meth:`guard` scopes emitted clauses under an activation
 literal so a clause group can be enabled per-query (assume the literal)
-or retired permanently (assert its negation).
+or retired permanently (assert its negation).  ``fold=True`` shrinks
+the emitted CNF: gates over constant, equal or opposite inputs fold
+away, and the rest are hash-consed on their normalised inputs, so each
+distinct AND/XOR/ITE is defined once.
 """
 
 from __future__ import annotations
@@ -32,11 +35,17 @@ class Cnf:
                  fold: bool = False) -> None:
         self.clauses: list[list[int]] = []
         self.solver = solver
-        #: fold gates over constant/equal/opposite inputs instead of
-        #: emitting Tseitin clauses.  Off by default: folding changes
-        #: the emitted CNF, and the one-shot reference paths are pinned
-        #: clause-for-clause by the differential suite.
+        #: fold gates over constant/equal/opposite inputs and hash-cons
+        #: the rest (one output per normalised AND/XOR/ITE input tuple),
+        #: instead of emitting fresh Tseitin clauses for every call.
+        #: Off by default: folding and hashing change the emitted CNF,
+        #: and the one-shot reference paths are pinned clause-for-clause
+        #: by the differential suite.
         self.fold = fold
+        #: structural-hash table: normalised gate key -> output literal.
+        #: Holds only gates defined outside :meth:`guard` (permanent
+        #: clauses), so a hit is valid inside and outside any guard.
+        self._strash: dict[tuple, int] = {}
         self._guard_lit: Optional[int] = None
         self._next_var = solver.num_vars if solver is not None else 0
         #: literal constants: true_lit is a var constrained to 1
@@ -85,6 +94,16 @@ class Cnf:
 
     # -- gates (each returns the output literal) -------------------------------
 
+    def _hashed(self, key: tuple, emit, *inputs: int) -> int:
+        """The output of the gate ``key``: reused if already defined
+        outside a guard, else emitted (and remembered when unguarded)."""
+        out = self._strash.get(key)
+        if out is None:
+            out = emit(*inputs)
+            if self._guard_lit is None:
+                self._strash[key] = out
+        return out
+
     def gate_not(self, a: int) -> int:
         return -a
 
@@ -99,6 +118,11 @@ class Cnf:
                 return false
             if a == b:
                 return a
+            return self._hashed(("&", a, b) if a < b else ("&", b, a),
+                                self._emit_and, a, b)
+        return self._emit_and(a, b)
+
+    def _emit_and(self, a: int, b: int) -> int:
         out = self.new_var()
         self.add_clause([-out, a])
         self.add_clause([-out, b])
@@ -123,6 +147,15 @@ class Cnf:
                 return false
             if a == -b:
                 return true
+            # xor(a, b) = xor(|a|, |b|) negated once per negative input.
+            negate = (a < 0) != (b < 0)
+            a, b = abs(a), abs(b)
+            out = self._hashed(("^", a, b) if a < b else ("^", b, a),
+                               self._emit_xor, a, b)
+            return -out if negate else out
+        return self._emit_xor(a, b)
+
+    def _emit_xor(self, a: int, b: int) -> int:
         out = self.new_var()
         self.add_clause([-out, a, b])
         self.add_clause([-out, -a, -b])
@@ -152,6 +185,13 @@ class Cnf:
                 return self.gate_or(-sel, then_lit)
             if else_lit == false:
                 return self.gate_and(sel, then_lit)
+            if sel < 0:
+                sel, then_lit, else_lit = -sel, else_lit, then_lit
+            return self._hashed(("?", sel, then_lit, else_lit),
+                                self._emit_ite, sel, then_lit, else_lit)
+        return self._emit_ite(sel, then_lit, else_lit)
+
+    def _emit_ite(self, sel: int, then_lit: int, else_lit: int) -> int:
         out = self.new_var()
         self.add_clause([-out, -sel, then_lit])
         self.add_clause([-out, sel, else_lit])

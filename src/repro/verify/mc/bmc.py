@@ -1,30 +1,41 @@
 """SAT-based bounded model checking of RTL netlists.
 
 Unrolls the netlist's transition relation ``k`` steps into CNF
-(bit-blasting every expression at the netlist's uniform word width,
-matching interpreted simulation exactly) and asks the CDCL solver for a
-step violating an invariant.  A SAT answer yields a concrete
-counter-example trace (register/input values per step); UNSAT up to
-``k`` is a bounded proof.
+(bit-blasting expressions at the netlist's uniform word width, matching
+interpreted simulation exactly) and asks the CDCL solver for a step
+violating an invariant.  A SAT answer yields a concrete counter-example
+trace: the model's input values replayed through :meth:`Netlist.step`,
+every input, register and wire per cycle up to the first violating one.
+UNSAT up to ``k`` is a bounded proof.
 
 Invariants are conjunctions of atomic predicates ``signal <op> const``
 over netlist signals — the property shape the paper's level-4 interface
 checks use (``AG (handshake consistent)``).
 
 The checker is incremental by default: one attached CNF/solver pair is
-kept per :class:`BoundedModelChecker`, time frames are encoded once and
-extended as deeper bounds are requested, per-frame violation literals
-are cached per property, and each query solves under an assumption
-selecting that property/bound — so learned clauses carry over across
-properties, bounds, and (via :meth:`add_mutant`) mutated designs.
-``incremental=False`` restores the one-shot encode-and-solve path,
-which the differential test-suite pins against the incremental one.
+kept per :class:`BoundedModelChecker`, and each query solves under an
+assumption selecting that property/bound, so learned clauses carry over
+across properties, bounds, and (via :meth:`add_mutant`) mutated designs.
+The session keeps its CNF small in two ways:
+
+- its :class:`Cnf` folds constant inputs and hash-conses AND/XOR/ITE
+  gates, so a gate over the same inputs is defined once (the constant
+  high bits of narrow signals fold away as well);
+- its time frames hold only the cone of influence of the properties
+  queried so far: the transitive fan-in of the signals they read.  A
+  query that reads new signals encodes their cone into every existing
+  frame; frames are added as deeper bounds are requested.
+
+``incremental=False`` restores the one-shot path that encodes every
+signal in every frame and solves once, which the differential
+test-suite pins against the incremental one.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.rtl.netlist import (
     BinExpr,
@@ -92,6 +103,16 @@ class BmcResult:
 _OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
+def _key(clauses: Clauses) -> tuple:
+    """Hashable identity of a property."""
+    return tuple(tuple(clause) for clause in clauses)
+
+
+def _signals(clauses: Clauses) -> set[str]:
+    """The signals a property reads."""
+    return {name for clause in clauses for name, __, __ in clause}
+
+
 @dataclass
 class _MutantCone:
     """Incremental state for one mutated design sharing the baseline CNF."""
@@ -99,12 +120,9 @@ class _MutantCone:
     act: int                       # activation literal guarding the cone
     driver: str                    # mutated wire or register name
     expr: Expr                     # rewritten driver expression
-    #: per-frame env overlay (baseline env + cone signals re-encoded)
+    #: per-frame overlay on the baseline frame: the signals whose value
+    #: can differ from the baseline, re-encoded under ``act``
     envs: list[dict[str, BitVector]] = field(default_factory=list)
-    #: per-frame set of signals whose value differs from the baseline
-    changed: list[set[str]] = field(default_factory=list)
-    #: register overlay feeding the next frame to encode
-    frontier: dict[str, BitVector] = field(default_factory=dict)
     #: (property key, frame) -> violation literal
     viol: dict = field(default_factory=dict)
     #: (property key, bound) -> query literal
@@ -119,17 +137,31 @@ class BoundedModelChecker:
         self.netlist = netlist
         self.word = netlist.word_width
         self.incremental = incremental
+        #: every signal in the order a frame encodes it: registers (from
+        #: the previous frame), then inputs, then wires in dependency order
+        self._encode_order = [*netlist.registers, *netlist.inputs,
+                              *netlist.wire_order()]
+        #: signal -> the signals its per-frame value is computed from
+        self._reads = {name: expr.refs()
+                       for name, (__, expr) in netlist.wires.items()}
+        self._reads.update((reg.name, reg.next_expr.refs())
+                           for reg in netlist.registers.values())
         # Incremental session state (lazily built on the first query):
         self._cnf: Optional[Cnf] = None
+        #: signals the session encodes: the transitive fan-in of every
+        #: signal a query has read so far (cone of influence)
+        self._cone: set[str] = set()
         self._frames: list[dict[str, BitVector]] = []
-        self._frontier: dict[str, BitVector] = {}
         self._viol: dict = {}      # (property key, frame) -> violation literal
         self._query: dict = {}     # (property key, bound) -> query literal
+        #: property key -> deepest bound proved on the baseline design
+        self._proved: dict = {}
         self._mutants: dict[int, _MutantCone] = {}
 
     # -- expression bit-blasting ---------------------------------------------------
 
-    def _blast(self, expr: Expr, env: dict[str, BitVector], cnf: Cnf) -> BitVector:
+    def _blast(self, expr: Expr, env: Mapping[str, BitVector],
+               cnf: Cnf) -> BitVector:
         word = self.word
         if isinstance(expr, ConstExpr):
             value = expr.value & ((1 << expr.width) - 1)
@@ -201,16 +233,19 @@ class BoundedModelChecker:
 
     # -- unrolling ------------------------------------------------------------------------
 
+    def _fresh_input(self, cnf: Cnf, width: int) -> BitVector:
+        vec = BitVector.fresh(cnf, self.word)
+        # Constrain bits above the declared input width to zero.
+        for bit in vec.bits[width:]:
+            cnf.assert_lit(-bit)
+        return vec
+
     def _frame(self, cnf: Cnf, regs: dict[str, BitVector]
                ) -> tuple[dict[str, BitVector], dict[str, BitVector]]:
-        """One time frame: free inputs + wires; returns (env, next regs)."""
+        """One whole time frame: free inputs + wires; returns (env, next regs)."""
         env: dict[str, BitVector] = dict(regs)
         for name, width in self.netlist.inputs.items():
-            vec = BitVector.fresh(cnf, self.word)
-            # Constrain bits above the declared input width to zero.
-            for bit in vec.bits[width:]:
-                cnf.assert_lit(-bit)
-            env[name] = vec
+            env[name] = self._fresh_input(cnf, width)
         for name in self.netlist.wire_order():
             width, expr = self.netlist.wires[name]
             value = self._blast(expr, env, cnf)
@@ -233,17 +268,61 @@ class BoundedModelChecker:
             for reg in self.netlist.registers.values()
         }
 
-    # -- incremental session ----------------------------------------------------------
+    # -- incremental session: cone-of-influence sliced frames ------------------
 
-    def _extend(self, bound: int) -> None:
-        """Encode time frames up to ``bound`` (once; later calls extend)."""
+    def _grow(self, signals: Iterable[str], bound: int) -> None:
+        """Encode the fan-in cone of ``signals`` in frames ``0..bound``.
+
+        Signals new to the cone are first encoded into every existing
+        frame, baseline and live mutant cones alike, in frame order; the
+        frames up to ``bound`` are then added over the whole cone.
+        """
         if self._cnf is None:
             self._cnf = Cnf(solver=SatSolver(), fold=True)
-            self._frontier = self._reset_regs(self._cnf)
+        new: set[str] = set()
+        stack = [name for name in signals if name not in self._cone]
+        while stack:
+            name = stack.pop()
+            if name not in new and name not in self._cone:
+                new.add(name)
+                stack.extend(self._reads.get(name, ()))
+        if new:
+            self._cone |= new
+            for frame in range(len(self._frames)):
+                self._encode(frame, new)
+            for cone in self._mutants.values():
+                for frame in range(len(cone.envs)):
+                    self._encode_mutant(cone, frame, new)
         while len(self._frames) <= bound:
-            env, nxt = self._frame(self._cnf, self._frontier)
-            self._frames.append(env)
-            self._frontier = nxt
+            self._frames.append({})
+            self._encode(len(self._frames) - 1, self._cone)
+
+    def _encode(self, frame: int, names: set[str]) -> None:
+        """Encode ``names`` into baseline ``frame``.
+
+        ``names`` together with what the frame already holds is closed
+        under fan-in, so every signal an expression reads is encoded
+        before it: registers read the previous frame, wires this one.
+        """
+        cnf = self._cnf
+        netlist = self.netlist
+        env = self._frames[frame]
+        for name in self._encode_order:
+            if name not in names:
+                continue
+            if name in netlist.registers:
+                reg = netlist.registers[name]
+                if frame == 0:
+                    env[name] = BitVector.constant(cnf, reg.reset, self.word)
+                    continue
+                value = self._blast(reg.next_expr, self._frames[frame - 1], cnf)
+                env[name] = self._truncate(value, reg.width, cnf)
+            elif name in netlist.inputs:
+                env[name] = self._fresh_input(cnf, netlist.inputs[name])
+            else:
+                width, expr = netlist.wires[name]
+                env[name] = self._truncate(self._blast(expr, env, cnf),
+                                           width, cnf)
 
     def _viol_lit(self, key, clauses: Clauses, frame: int) -> int:
         lit = self._viol.get((key, frame))
@@ -262,6 +341,13 @@ class BoundedModelChecker:
                 if op not in _OPS:
                     raise ValueError(f"bad operator {op!r}")
                 netlist.width_of(name)  # raises on unknown signal
+
+    @property
+    def cnf_size(self) -> tuple[int, int]:
+        """``(variables, clauses)`` the incremental session has emitted."""
+        if self._cnf is None:
+            return 0, 0
+        return self._cnf.num_vars, len(self._cnf.clauses)
 
     # -- checking ----------------------------------------------------------------------------
 
@@ -293,8 +379,8 @@ class BoundedModelChecker:
         if not self.incremental:
             return self._check_oneshot(clauses, bound, max_conflicts, text)
 
-        key = tuple(tuple(clause) for clause in clauses)
-        self._extend(bound)
+        key = _key(clauses)
+        self._grow(_signals(clauses), bound)
         cnf = self._cnf
         violation_lits = [self._viol_lit(key, clauses, i)
                           for i in range(bound + 1)]
@@ -307,11 +393,12 @@ class BoundedModelChecker:
         result, model = cnf.solve(assumptions=[query],
                                   max_conflicts=max_conflicts)
         if result is SatResult.UNSAT:
+            self._proved[key] = max(bound, self._proved.get(key, -1))
             return BmcResult(text, bound, violated=False)
         if result is SatResult.UNKNOWN:
             return BmcResult(text, bound, violated=False,
                              solver_result=SatResult.UNKNOWN)
-        trace = self._build_trace(clauses, self._frames[:bound + 1], model)
+        trace = self._replay(clauses, self._frames[:bound + 1], model)
         return BmcResult(text, bound, violated=True, trace=trace,
                          solver_result=SatResult.SAT)
 
@@ -335,24 +422,27 @@ class BoundedModelChecker:
         if result is SatResult.UNKNOWN:
             return BmcResult(text, bound, violated=False,
                              solver_result=SatResult.UNKNOWN)
-        trace = self._build_trace(clauses, frames, model)
+        trace = self._replay(clauses, frames, model)
         return BmcResult(text, bound, violated=True, trace=trace,
                          solver_result=SatResult.SAT)
 
-    def _build_trace(self, clauses: Clauses,
-                     frames: list[dict[str, BitVector]],
-                     model: dict[int, bool]) -> list[dict[str, int]]:
+    def _replay(self, clauses: Clauses, frames: list[dict[str, BitVector]],
+                model: dict[int, bool]) -> list[dict[str, int]]:
+        """The counter-example: the model's inputs replayed on the netlist.
+
+        Simulation values every input, register and wire exactly, also
+        those outside an encoded cone (whose inputs read 0); the trace
+        ends at the first cycle that violates ``clauses``.
+        """
+        netlist = self.netlist
+        state = netlist.reset_state()
         trace = []
         for env in frames:
-            step = {}
-            for name in list(self.netlist.inputs) + list(self.netlist.registers) \
-                    + list(self.netlist.wires):
-                vec = env[name]
-                raw = vec.value_in(model)
-                width = self.netlist.width_of(name)
-                step[name] = raw & ((1 << width) - 1)
-            trace.append(step)
-            if self._violated_in(clauses, step):
+            inputs = {name: env[name].value_in(model) if name in env else 0
+                      for name in netlist.inputs}
+            state, values = netlist.step(state, inputs)
+            trace.append(values)
+            if self._violated_in(clauses, values):
                 break
         return trace
 
@@ -362,19 +452,26 @@ class BoundedModelChecker:
         """Encode a mutated design's diff cone under an activation literal.
 
         ``driver`` is the mutated wire or register (next-value) name and
-        ``expr`` its rewritten expression.  Only signals whose value can
-        differ from the baseline are re-encoded, per frame, guarded by a
-        fresh activation literal; everything else (inputs, reset state,
-        untouched logic) is shared with the baseline unrolling.  Returns
-        the activation literal, the handle for :meth:`check_mutant` and
-        :meth:`retire_mutant`.  Requires ``incremental=True``.
+        ``expr`` its rewritten expression, which may read only signals
+        the original expression reads (every PCC mutation operator
+        rewrites in place).  Only cone-of-influence signals whose value
+        can differ from the baseline are re-encoded, per frame, guarded
+        by a fresh activation literal; everything else (inputs, reset
+        state, untouched logic) is shared with the baseline unrolling.
+        When a later query grows the cone, the new signals are
+        re-encoded here too.  Returns the activation literal, the handle
+        for :meth:`check_mutant` and :meth:`retire_mutant`.  Requires
+        ``incremental=True``.
         """
         if not self.incremental:
             raise ValueError("mutant cones need an incremental checker")
         if driver not in self.netlist.wires \
                 and driver not in self.netlist.registers:
             raise ValueError(f"unknown driver {driver!r}")
-        self._extend(bound)
+        if not expr.refs() <= self._reads[driver]:
+            raise ValueError(
+                f"mutant of {driver!r} reads signals the original does not")
+        self._grow((), bound)
         act = self._cnf.new_var()
         cone = _MutantCone(act=act, driver=driver, expr=expr)
         self._mutants[act] = cone
@@ -383,69 +480,83 @@ class BoundedModelChecker:
 
     def _extend_cone(self, cone: _MutantCone, bound: int) -> None:
         """Encode the mutant's changed signals for frames up to ``bound``."""
-        self._extend(bound)
+        self._grow((), bound)
+        while len(cone.envs) <= bound:
+            cone.envs.append({})
+            self._encode_mutant(cone, len(cone.envs) - 1, self._cone)
+
+    def _encode_mutant(self, cone: _MutantCone, frame: int,
+                       names: set[str]) -> None:
+        """Re-encode, under the mutant's guard, the signals of ``names``
+        whose value in ``frame`` can differ from the baseline's."""
         cnf = self._cnf
         netlist = self.netlist
+        overlay = cone.envs[frame]
         with cnf.guard(cone.act):
-            while len(cone.envs) <= bound:
-                frame = len(cone.envs)
-                env = dict(self._frames[frame])
-                env.update(cone.frontier)
-                changed = set(cone.frontier)
-                for name in netlist.wire_order():
-                    width, expr = netlist.wires[name]
-                    if name == cone.driver:
-                        expr = cone.expr
-                    elif not (expr.refs() & changed):
-                        continue
-                    value = self._blast(expr, env, cnf)
-                    env[name] = self._truncate(value, width, cnf)
-                    changed.add(name)
-                frontier: dict[str, BitVector] = {}
-                for reg in netlist.registers.values():
-                    expr = reg.next_expr
-                    if reg.name == cone.driver:
-                        expr = cone.expr
-                    elif not (expr.refs() & changed):
-                        continue
-                    value = self._blast(expr, env, cnf)
-                    frontier[reg.name] = self._truncate(value, reg.width, cnf)
-                cone.envs.append(env)
-                cone.changed.append(changed)
-                cone.frontier = frontier
+            for name in self._encode_order:
+                if name not in names or name in netlist.inputs:
+                    continue
+                if name in netlist.registers:
+                    if frame == 0:
+                        continue  # reset state is never mutated
+                    reg = netlist.registers[name]
+                    width, expr, source = reg.width, reg.next_expr, frame - 1
+                else:
+                    (width, expr), source = netlist.wires[name], frame
+                if name == cone.driver:
+                    expr = cone.expr
+                elif self._reads[name].isdisjoint(cone.envs[source]):
+                    continue
+                env = ChainMap(cone.envs[source], self._frames[source])
+                overlay[name] = self._truncate(self._blast(expr, env, cnf),
+                                               width, cnf)
 
     def _mutant_viol_lits(self, cone: _MutantCone, clauses: Clauses,
                           bound: int) -> list[int]:
         """Per-frame violation literals for one property on one mutant.
 
-        Frames the cone does not touch share the baseline literal.
+        Frames where the mutant changes none of the property's signals
+        share the baseline literal, or contribute none at all once the
+        baseline has proved the property that deep.
         """
         cnf = self._cnf
-        key = tuple(tuple(clause) for clause in clauses)
-        prop_signals = {name for clause in clauses for name, __, __ in clause}
+        key = _key(clauses)
+        signals = _signals(clauses)
+        proved = self._proved.get(key, -1)
         violation_lits = []
         for frame in range(bound + 1):
-            if prop_signals & cone.changed[frame]:
+            if not signals.isdisjoint(cone.envs[frame]):
                 lit = cone.viol.get((key, frame))
                 if lit is None:
+                    env = ChainMap(cone.envs[frame], self._frames[frame])
                     with cnf.guard(cone.act):
-                        lit = self._violation_lit_clauses(
-                            clauses, cone.envs[frame], cnf)
+                        lit = self._violation_lit_clauses(clauses, env, cnf)
                     cone.viol[(key, frame)] = lit
-            else:
+            elif frame > proved:
                 lit = self._viol_lit(key, clauses, frame)
+            else:
+                continue
             violation_lits.append(lit)
         return violation_lits
 
-    def _mutant_query(self, cone: _MutantCone, query_key,
-                      violation_lits: list[int]) -> int:
+    def _mutant_solve(self, cone: _MutantCone, query_key,
+                      violation_lits: list[int],
+                      max_conflicts: int) -> SatResult:
+        """Can the mutant make one of ``violation_lits`` true?
+
+        With no literal left to satisfy, the answer is UNSAT unsolved.
+        """
+        if not violation_lits:
+            return SatResult.UNSAT
         cnf = self._cnf
         query = cone.query.get(query_key)
         if query is None:
             query = cnf.new_var()
             cnf.add_clause([-query] + violation_lits)
             cone.query[query_key] = query
-        return query
+        solver = cnf.solver
+        solver.num_vars = max(solver.num_vars, cnf.num_vars)
+        return solver.solve([cone.act, query], max_conflicts=max_conflicts)
 
     def check_mutant(self, act: int, clauses: Clauses, bound: int,
                      max_conflicts: int = 2_000_000) -> BmcResult:
@@ -456,15 +567,11 @@ class BoundedModelChecker:
         self._validate_clauses(clauses, self.netlist)
         text = property_text(clauses)
         cone = self._mutants[act]
+        self._grow(_signals(clauses), bound)
         self._extend_cone(cone, bound)
-        cnf = self._cnf
-        key = tuple(tuple(clause) for clause in clauses)
         violation_lits = self._mutant_viol_lits(cone, clauses, bound)
-        query = self._mutant_query(cone, (key, bound), violation_lits)
-
-        solver = cnf.solver
-        solver.num_vars = max(solver.num_vars, cnf.num_vars)
-        result = solver.solve([cone.act, query], max_conflicts=max_conflicts)
+        result = self._mutant_solve(cone, (_key(clauses), bound),
+                                    violation_lits, max_conflicts)
         if result is SatResult.UNKNOWN:
             return BmcResult(text, bound, violated=False,
                              solver_result=SatResult.UNKNOWN)
@@ -484,26 +591,20 @@ class BoundedModelChecker:
         for clauses in properties:
             self._validate_clauses(clauses, self.netlist)
         cone = self._mutants[act]
+        self._grow(set().union(*map(_signals, properties)), bound)
         self._extend_cone(cone, bound)
-        cnf = self._cnf
         all_lits: list[int] = []
         for clauses in properties:
             all_lits.extend(self._mutant_viol_lits(cone, clauses, bound))
-        agg_key = ("any",
-                   tuple(tuple(tuple(c) for c in clauses)
-                         for clauses in properties),
-                   bound)
-        query = self._mutant_query(cone, agg_key, all_lits)
-        solver = cnf.solver
-        solver.num_vars = max(solver.num_vars, cnf.num_vars)
-        return solver.solve([cone.act, query], max_conflicts=max_conflicts)
+        agg_key = ("any", tuple(map(_key, properties)), bound)
+        return self._mutant_solve(cone, agg_key, all_lits, max_conflicts)
 
     def retire_mutant(self, act: int) -> None:
         """Permanently disable a mutant cone's clauses."""
         self._mutants.pop(act)
         self._cnf.add_clause([-act])
 
-    def _atom_lit(self, atom: Atom, env: dict[str, BitVector],
+    def _atom_lit(self, atom: Atom, env: Mapping[str, BitVector],
                   cnf: Cnf) -> int:
         name, op, value = atom
         vec = env[name]
@@ -520,7 +621,7 @@ class BoundedModelChecker:
             return self._lt_unsigned(const, vec, cnf)
         return cnf.gate_or(self._lt_unsigned(const, vec, cnf), vec.eq(const))
 
-    def _violation_lit_clauses(self, clauses, env: dict[str, BitVector],
+    def _violation_lit_clauses(self, clauses, env: Mapping[str, BitVector],
                                cnf: Cnf) -> int:
         """Literal true iff some clause is falsified in this frame."""
         clause_violations = []

@@ -18,8 +18,11 @@ designer will have to extend the set of properties").
 
 The formal phase is incremental by default: one
 :class:`BoundedModelChecker` session encodes the baseline unrolling
-once, each mutant adds only its diff cone under an activation literal,
-and solver-learned clauses carry across mutants and properties.
+(sliced to the properties' cone of influence) once, each mutant adds
+only its diff cone under an activation literal, and solver-learned
+clauses carry across mutants and properties.  Once the session has
+proved the baseline, a mutant that changes no signal the properties
+read survives without a solve.
 ``incremental=False`` restores the fresh-encode-per-mutant path (the
 differential suite pins both to identical reports), and ``jobs=N``
 batches observable mutants across a multiprocessing pool.
@@ -256,6 +259,17 @@ class PropertyCoverageChecker:
     def _killed_by(self, mutation: Mutation) -> Optional[str]:
         return _formal_verdict(self.netlist, self.properties, self.bound,
                                mutation, self._shared_session())
+
+    @property
+    def cnf_size(self) -> tuple[int, int]:
+        """``(variables, clauses)`` of the shared incremental session.
+
+        Zeros with ``incremental=False``; with ``jobs`` the workers'
+        sessions are not counted.
+        """
+        if self._session is None:
+            return 0, 0
+        return self._session.cnf_size
 
     # -- main -----------------------------------------------------------------------------
 

@@ -224,3 +224,67 @@ class TestAttachedCnf:
         for vp, vf in zip(plain_outs, folded_outs):
             for xp, xf in zip(vp, vf):
                 assert xp.value_in(mp) == xf.value_in(mf)
+
+
+class TestStructuralHashing:
+    def test_normalised_gates_are_shared(self):
+        cnf = Cnf(solver=SatSolver(), fold=True)
+        a, b, s = cnf.new_var(), cnf.new_var(), cnf.new_var()
+        conj = cnf.gate_and(a, b)
+        parity = cnf.gate_xor(a, b)
+        mux = cnf.gate_ite(s, a, b)
+        emitted = len(cnf.clauses)
+        assert cnf.gate_and(b, a) == conj
+        assert cnf.gate_or(-a, -b) == -conj
+        assert cnf.gate_xor(b, a) == cnf.gate_xor(-a, -b) == parity
+        assert cnf.gate_xor(-a, b) == cnf.gate_xor(a, -b) == -parity
+        assert cnf.gate_ite(-s, b, a) == mux
+        assert len(cnf.clauses) == emitted
+
+    def test_unfolded_cnf_never_shares(self):
+        cnf = Cnf()
+        a, b = cnf.new_var(), cnf.new_var()
+        assert cnf.gate_and(a, b) != cnf.gate_and(a, b)
+        assert cnf.gate_xor(a, b) != cnf.gate_xor(a, b)
+
+    @pytest.mark.parametrize("gate", ["and", "xor", "ite"])
+    def test_guarded_gate_never_reaches_unguarded_callers(self, gate):
+        cnf = Cnf(solver=SatSolver(), fold=True)
+        a, b, s, act = (cnf.new_var() for __ in range(4))
+
+        def build():
+            if gate == "and":
+                return cnf.gate_and(a, b)
+            if gate == "xor":
+                return cnf.gate_xor(a, b)
+            return cnf.gate_ite(s, a, b)
+
+        def reference(va, vb, vs):
+            if gate == "and":
+                return va and vb
+            if gate == "xor":
+                return va != vb
+            return va if vs else vb
+
+        with cnf.guard(act):
+            inside = build()
+        outside = build()
+        assert outside != inside
+        cnf.add_clause([-act])  # retire the guarded definition
+        # The unguarded output is still fully defined by its inputs.
+        for va in (False, True):
+            for vb in (False, True):
+                for vs in (False, True):
+                    fixed = [a if va else -a, b if vb else -b, s if vs else -s]
+                    want = outside if reference(va, vb, vs) else -outside
+                    assert cnf.solve(fixed + [want])[0] is SatResult.SAT
+                    assert cnf.solve(fixed + [-want])[0] is SatResult.UNSAT
+
+    def test_unguarded_gate_is_reused_inside_a_guard(self):
+        cnf = Cnf(solver=SatSolver(), fold=True)
+        a, b, act = cnf.new_var(), cnf.new_var(), cnf.new_var()
+        shared = cnf.gate_xor(a, b)
+        with cnf.guard(act):
+            assert cnf.gate_xor(a, -b) == -shared
+        cnf.add_clause([-act])
+        assert cnf.solve([a, b, shared])[0] is SatResult.UNSAT
