@@ -38,10 +38,12 @@ class FpgaDevice:
 
     Reconfiguration traffic is issued through ``bus_socket`` (an
     initiator-socket-like object with a ``transport`` generator) reading
-    the bitstream from ``config_store_base`` in ``burst_len``-word
-    chunks.  Without a bus socket, reconfiguration still takes
-    ``fallback_ps_per_word`` per word — used by unit tests and analytic
-    sweeps.
+    the bitstream in ``burst_len``-word chunks from the configuration
+    store at ``config_store_base``.  The store holds the bitstream image:
+    the contexts' bitstreams back to back in definition order, each
+    context read from its own region (:meth:`region`).  Without a bus
+    socket, reconfiguration still takes ``fallback_ps_per_word`` per
+    word — used by unit tests and analytic sweeps.
     """
 
     def __init__(
@@ -64,6 +66,10 @@ class FpgaDevice:
         self.burst_len = burst_len
         self.fallback_ps_per_word = fallback_ps_per_word
         self.contexts: dict[str, Configuration] = {}
+        #: word offset of each context's bitstream in the image
+        self._image_offsets: dict[str, int] = {}
+        #: length in words of the bitstream image
+        self.image_words = 0
         self.loaded: Optional[Configuration] = None
         self.stats = FpgaStats()
         self.busy = False
@@ -82,6 +88,14 @@ class FpgaDevice:
         if context.name in self.contexts:
             raise ContextError(f"duplicate context {context.name!r}")
         self.contexts[context.name] = context
+        self._image_offsets[context.name] = self.image_words
+        self.image_words += context.bitstream_words
+
+    def region(self, context_name: str) -> tuple[int, int]:
+        """Bus address and word length of a context's bitstream."""
+        context = self.contexts[context_name]
+        offset = self._image_offsets[context_name]
+        return self.config_store_base + offset * 4, context.bitstream_words
 
     def provides(self, function: str) -> bool:
         """Whether ``function`` is available *right now*."""
@@ -125,13 +139,13 @@ class FpgaDevice:
         try:
             start_ps = self.sim.now_ps
             self.loaded = None  # device is blank while the bitstream streams in
-            remaining = context.bitstream_words
+            address, remaining = self.region(context_name)
             offset = 0
             while remaining > 0:
                 chunk = min(self.burst_len, remaining)
                 if self.bus_socket is not None:
                     txn = Transaction.read(
-                        self.config_store_base + offset * 4,
+                        address + offset * 4,
                         burst_len=chunk,
                         origin=f"{self.name}.config",
                         kind="bitstream",

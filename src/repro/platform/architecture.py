@@ -236,6 +236,7 @@ class Architecture:
         self.bus: Optional[Bus] = None
         self.ram: Optional[Memory] = None
         self.fpga: Optional[FpgaDevice] = None
+        self.config_store: Optional[Memory] = None
         self.controller: Optional[ReconfigController] = None
         self.hw_blocks: dict[str, _HwBlock] = {}
         self._hw_ops = 0
@@ -267,6 +268,7 @@ class Architecture:
 
         self.fpga = None
         self.controller = None
+        self.config_store = None
         if self.partition.fpga_tasks:
             plan = self.fpga_plan
             socket = InitiatorSocket("fpga.config")
@@ -288,12 +290,16 @@ class Architecture:
             if missing:
                 raise ValueError(f"FPGA plan misses tasks: {sorted(missing)}")
             self.controller = ReconfigController(self.fpga, plan.skip_functions)
-            config_store = Memory(
+            # Read-only bitstream image of the plan; the word values are
+            # not modelled.  A read outside the image is a device fault and
+            # shows as an uninitialised read.
+            self.config_store = Memory(
                 "config_store", self.sim, CONFIG_STORE_BASE, 1 << 22,
                 latency_ps=self.memory_latency_ps, readonly=True,
             )
+            self.config_store.preload(CONFIG_STORE_BASE, [0] * self.fpga.image_words)
             self.bus.attach("config_store", CONFIG_STORE_BASE,
-                            config_store.size_bytes, config_store)
+                            self.config_store.size_bytes, self.config_store)
             self.bus.attach("efpga", FPGA_BASE, HW_WINDOW, _MailboxTarget(self.sim))
 
     def _record_trace(self, task_name: str, chan_name: str, token) -> None:

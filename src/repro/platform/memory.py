@@ -17,6 +17,10 @@ from repro.kernel.scheduler import Simulator
 from repro.tlm.transaction import Command, Response, Transaction
 
 
+#: Read default marking a never-written word; ``in`` finds it by identity.
+_MISSING = object()
+
+
 @dataclass(frozen=True)
 class UninitializedRead:
     """One read of a word that was never written."""
@@ -71,50 +75,61 @@ class Memory:
 
     # -- direct (debug / preload) access; no timing ------------------------------
 
+    def _span(self, address: int, count: int) -> int:
+        """Word offset of ``address``, checking ``count`` words fit from it."""
+        start = self._offset(address)
+        if count > 1:
+            self._offset(address + (count - 1) * self.word_bytes)
+        return start
+
     def preload(self, address: int, words: list[int]) -> None:
         """Initialise memory contents without simulated traffic."""
-        start = self._offset(address)
-        for i, word in enumerate(words):
-            self._storage[start + i] = word
+        start = self._span(address, len(words))
+        self._storage.update(zip(range(start, start + len(words)), words))
 
     def peek(self, address: int, count: int = 1) -> list[int]:
         """Read words without timing or statistics (debugger view)."""
-        start = self._offset(address)
+        start = self._span(address, count)
         return [self._storage.get(start + i, 0) for i in range(count)]
 
     # -- TLM target interface ------------------------------------------------------
 
     def transport(self, txn: Transaction):
-        """Service a bus transaction (generator; bus calls this)."""
+        """Service a bus transaction (generator; bus calls this).
+
+        A burst moves in one step: writes update the storage with the
+        whole burst, reads fetch it with a sentinel default and build
+        :class:`UninitializedRead` records only when a word is missing.
+        """
+        burst = txn.burst_len
         try:
-            start = self._offset(txn.address)
-            self._offset(txn.address + (txn.burst_len - 1) * self.word_bytes)
+            start = self._span(txn.address, burst)
         except ValueError:
             txn.response = Response.SLAVE_ERROR
             return txn
-        yield wait(self.latency_ps * txn.burst_len)
+        yield wait(self.latency_ps * burst)
+        offsets = range(start, start + burst)
         if txn.command is Command.WRITE:
             if self.readonly:
                 txn.response = Response.SLAVE_ERROR
                 return txn
-            for i, word in enumerate(txn.data):
-                self._storage[start + i] = word
-            self.writes += txn.burst_len
+            self._storage.update(zip(offsets, txn.data))
+            self.writes += burst
         else:
-            data = []
-            for i in range(txn.burst_len):
-                offset = start + i
-                if offset not in self._storage:
-                    self.uninitialized_reads.append(
-                        UninitializedRead(
+            get = self._storage.get
+            data = [get(offset, _MISSING) for offset in offsets]
+            if _MISSING in data:
+                now_ps = self.sim.now_ps
+                for offset, word in zip(offsets, data):
+                    if word is _MISSING:
+                        self.uninitialized_reads.append(UninitializedRead(
                             address=self.base + offset * self.word_bytes,
                             origin=txn.origin,
-                            time_ps=self.sim.now_ps,
-                        )
-                    )
-                data.append(self._storage.get(offset, 0))
+                            time_ps=now_ps,
+                        ))
+                data = [0 if word is _MISSING else word for word in data]
             txn.data = data
-            self.reads += txn.burst_len
+            self.reads += burst
         txn.response = Response.OK
         return txn
 

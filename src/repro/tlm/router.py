@@ -8,6 +8,7 @@ the error classes the level-4 interface properties check for.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +50,8 @@ class AddressMap:
 
     def __init__(self) -> None:
         self._ranges: list[AddressRange] = []
+        #: ``_ranges[i].base``, kept sorted alongside for bisection
+        self._bases: list[int] = []
 
     def add(self, base: int, size: int, slave_name: str) -> AddressRange:
         """Register ``[base, base+size)`` for ``slave_name``."""
@@ -58,13 +61,16 @@ class AddressMap:
                 raise DecodeError(f"range {new} overlaps {existing}")
         self._ranges.append(new)
         self._ranges.sort(key=lambda r: r.base)
+        self._bases = [r.base for r in self._ranges]
         return new
 
     def decode(self, address: int) -> Optional[AddressRange]:
         """Return the owning range, or None on a decode miss."""
-        # Linear scan: maps have a handful of slaves; no need for bisect.
-        for rng in self._ranges:
-            if rng.contains(address):
+        # The only candidate is the last range starting at or below address.
+        index = bisect_right(self._bases, address) - 1
+        if index >= 0:
+            rng = self._ranges[index]
+            if address < rng.end:
                 return rng
         return None
 

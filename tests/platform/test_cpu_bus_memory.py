@@ -64,6 +64,25 @@ class TestMemory:
         with pytest.raises(ValueError):
             mem.preload(0x1040, [1])
 
+    def test_preload_past_the_end_rejected(self):
+        sim = Simulator()
+        mem = Memory("ram", sim, base=0x1000, size_words=4)
+        with pytest.raises(ValueError):
+            mem.preload(0x1008, [1, 2, 3, 4, 5])
+        assert mem.peek(0x1000, 4) == [0, 0, 0, 0]
+        mem.preload(0x1008, [1, 2])  # exactly up to the last word
+        assert mem.peek(0x1008, 2) == [1, 2]
+
+    def test_peek_past_the_end_rejected(self):
+        sim = Simulator()
+        mem = Memory("ram", sim, base=0x1000, size_words=4)
+        mem.preload(0x1000, [1, 2, 3, 4])
+        assert mem.peek(0x1000, 4) == [1, 2, 3, 4]
+        with pytest.raises(ValueError):
+            mem.peek(0x1008, 3)
+        with pytest.raises(ValueError):
+            mem.peek(0x100C, 2)
+
     def test_write_then_read_via_transport(self):
         sim, mem = self._setup()
         log = []

@@ -1,5 +1,7 @@
 """Tests for sockets and address decoding."""
 
+import random
+
 import pytest
 
 from repro.kernel import NS, Simulator, wait
@@ -60,6 +62,40 @@ class TestAddressMap:
         amap.add(0x2000, 0x10, "b")
         amap.add(0x1000, 0x10, "a")
         assert [r.slave_name for r in amap.ranges] == ["a", "b"]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_decode_matches_linear_reference(self, seed):
+        """Bisected decode against a scan of every range, on random maps."""
+        rng = random.Random(seed)
+        amap = AddressMap()
+        spans = []
+        cursor = rng.randrange(0, 64)
+        for index in range(rng.randint(1, 12)):
+            size = rng.randint(1, 40)
+            spans.append((cursor, size, f"s{index}"))
+            cursor += size + rng.choice((0, 0, rng.randint(1, 30)))  # gaps
+        for base, size, name in rng.sample(spans, len(spans)):
+            amap.add(base, size, name)
+
+        def linear(address):
+            for base, size, name in spans:
+                if base <= address < base + size:
+                    return name
+            return None
+
+        probes = {-1, 0, cursor, cursor + 5}
+        for base, size, __ in spans:
+            probes |= {base - 1, base, base + size - 1, base + size}
+        probes |= {rng.randrange(-4, cursor + 8) for __ in range(50)}
+        for address in sorted(probes):
+            rng_hit = amap.decode(address)
+            assert (rng_hit.slave_name if rng_hit else None) == linear(address)
+            for burst_len in (1, 2, 3, 5):
+                last = address + (burst_len - 1) * 4
+                owner = linear(address)
+                want = owner if owner is not None and linear(last) == owner else None
+                got = amap.decode_burst(address, burst_len)
+                assert (got.slave_name if got else None) == want
 
 
 class TestSockets:
