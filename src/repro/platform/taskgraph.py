@@ -18,10 +18,13 @@ nets (LPV) and coverage models (ATPG).
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class GraphError(ValueError):
@@ -155,8 +158,10 @@ class AppGraph:
         """Tasks with no output channels (results observed here)."""
         return [t for t in self.tasks.values() if not t.writes]
 
-    def to_networkx(self) -> nx.MultiDiGraph:
+    def to_networkx(self) -> "nx.MultiDiGraph":
         """Task-level digraph (parallel channels preserved)."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph(name=self.name)
         graph.add_nodes_from(self.tasks)
         for chan in self.channels.values():
@@ -166,14 +171,31 @@ class AppGraph:
     def topological_order(self) -> list[str]:
         """Task names in a deterministic topological order.
 
-        Raises :class:`GraphError` on cyclic graphs — the cyclostatic SW
+        Kahn's algorithm, always taking the smallest ready name: the
+        lexicographical topological order.  Parallel channels count
+        once each towards a task's in-degree.  Raises
+        :class:`GraphError` on cyclic graphs — the cyclostatic SW
         schedule of level 2 requires acyclic single-rate graphs.
         """
-        graph = self.to_networkx()
-        try:
-            return list(nx.lexicographical_topological_sort(graph))
-        except nx.NetworkXUnfeasible as exc:
-            raise GraphError(f"graph {self.name!r} has cycles; no static schedule") from exc
+        indegree = dict.fromkeys(self.tasks, 0)
+        successors: dict[str, list[str]] = defaultdict(list)
+        for chan in self.channels.values():
+            indegree.setdefault(chan.src, 0)
+            indegree[chan.dst] = indegree.get(chan.dst, 0) + 1
+            successors[chan.src].append(chan.dst)
+        ready = [name for name, count in indegree.items() if count == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for succ in successors[name]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    heapq.heappush(ready, succ)
+        if len(order) < len(indegree):
+            raise GraphError(f"graph {self.name!r} has cycles; no static schedule")
+        return order
 
     def predecessors(self, task_name: str) -> list[str]:
         return sorted({c.src for c in self.channels.values() if c.dst == task_name})

@@ -8,16 +8,29 @@ comparisons, shifts by constants, bitwise logic, mux) on top via
 bit-blasting with ripple-carry adders.
 
 A :class:`Cnf` can run in two modes.  Standalone (the default), it just
-collects clauses and :meth:`solve` builds a fresh solver per call.
-Attached -- ``Cnf(solver=SatSolver())`` -- every clause streams into the
-incremental solver the moment it is emitted, so repeated solves never
-re-add the clause database and learned clauses carry over between
-queries; :meth:`guard` scopes emitted clauses under an activation
-literal so a clause group can be enabled per-query (assume the literal)
-or retired permanently (assert its negation).  ``fold=True`` shrinks
-the emitted CNF: gates over constant, equal or opposite inputs fold
-away, and the rest are hash-consed on their normalised inputs, so each
-distinct AND/XOR/ITE is defined once.
+collects clauses in :attr:`Cnf.clauses` and :meth:`solve` builds a fresh
+solver per call.  Attached -- ``Cnf(solver=SatSolver())`` -- every
+clause streams into the incremental solver the moment it is emitted and
+is stored there only (:attr:`Cnf.num_clauses` counts them in both
+modes), so repeated solves never re-add the clause database and learned
+clauses carry over between queries.
+
+:meth:`Cnf.guard` scopes emitted clauses under an activation literal so
+a clause group can be enabled per-query (assume the literal) or retired
+permanently; :meth:`Cnf.group` adds unguarded clauses that only the
+group's queries read.  Both record the variables and clauses created
+inside them, and :meth:`Cnf.retire` asserts the group's negated
+activation and query literals, then releases those variables and
+clauses from the solver (see :meth:`SatSolver.release`).
+
+``fold=True`` shrinks the emitted CNF: gates over constant, equal or
+opposite inputs fold away, and the rest are hash-consed on their
+normalised inputs, so each distinct AND/XOR/ITE is defined once.  The
+:class:`BitVector` word operations are width-aware under folding: a
+gate with a constant-false input folds away, so they stop at the
+operands' live bits (:meth:`BitVector.live`) and fill the constant-false
+high bits directly -- the same literals and the same clauses, without
+the Python work of folding each high bit.
 """
 
 from __future__ import annotations
@@ -33,7 +46,11 @@ class Cnf:
 
     def __init__(self, solver: Optional[SatSolver] = None,
                  fold: bool = False) -> None:
+        #: the clauses emitted so far -- standalone mode only; attached,
+        #: every clause lives in the solver alone
         self.clauses: list[list[int]] = []
+        #: clauses emitted so far, in either mode
+        self.num_clauses = 0
         self.solver = solver
         #: fold gates over constant/equal/opposite inputs and hash-cons
         #: the rest (one output per normalised AND/XOR/ITE input tuple),
@@ -47,6 +64,11 @@ class Cnf:
         #: clauses), so a hit is valid inside and outside any guard.
         self._strash: dict[tuple, int] = {}
         self._guard_lit: Optional[int] = None
+        #: activation literal -> (variables, solver clause handles)
+        #: created inside its :meth:`guard` / :meth:`group` scopes
+        self._groups: dict[int, tuple[list[int], list[list[int]]]] = {}
+        #: the record the open scope appends to, if any
+        self._record: Optional[tuple[list[int], list[list[int]]]] = None
         self._next_var = solver.num_vars if solver is not None else 0
         #: literal constants: true_lit is a var constrained to 1
         self.true_lit = self.new_var()
@@ -60,6 +82,8 @@ class Cnf:
         self._next_var += 1
         if self.solver is not None and self.solver.num_vars < self._next_var:
             self.solver.num_vars = self._next_var
+        if self._record is not None:
+            self._record[0].append(self._next_var)
         return self._next_var
 
     @property
@@ -69,25 +93,65 @@ class Cnf:
     def add_clause(self, literals: Iterable[int]) -> None:
         guard = self._guard_lit
         clause = list(literals) if guard is None else [-guard, *literals]
-        self.clauses.append(clause)
-        if self.solver is not None:
-            self.solver.add_clause(clause)
+        self.num_clauses += 1
+        if self.solver is None:
+            self.clauses.append(clause)
+            return
+        stored = self.solver.add_clause(clause)
+        if stored is not None and self._record is not None:
+            self._record[1].append(stored)
 
     @contextmanager
     def guard(self, activation: int) -> Iterator[int]:
         """Emit clauses guarded by ``activation`` while the context is open.
 
         Guarded clauses only constrain a solve that assumes
-        ``activation``; adding the permanent unit ``[-activation]``
-        afterwards retires the whole group.  Guards do not nest.
+        ``activation``; :meth:`retire` (or the permanent unit
+        ``[-activation]``) disables the whole group for good.  The
+        variables and clauses created inside are recorded in the
+        group of ``activation``.  Guards do not nest.
         """
-        if self._guard_lit is not None:
-            raise ValueError("guard() does not nest")
-        self._guard_lit = activation
-        try:
+        with self._scope(activation, activation):
             yield activation
+
+    @contextmanager
+    def group(self, activation: int) -> Iterator[int]:
+        """Record what is created inside in the group of ``activation``,
+        like :meth:`guard`, but emit the clauses unguarded.
+
+        For clauses that only a query of the group reads, such as the
+        query clause ``[-q, ...]`` itself: :meth:`retire` makes them
+        satisfied by asserting ``-q``.
+        """
+        with self._scope(activation, None):
+            yield activation
+
+    @contextmanager
+    def _scope(self, activation: int, guard: Optional[int]) -> Iterator[None]:
+        if self._record is not None:
+            raise ValueError("guard() does not nest")
+        self._guard_lit = guard
+        self._record = self._groups.setdefault(activation, ([], []))
+        try:
+            yield
         finally:
             self._guard_lit = None
+            self._record = None
+
+    def retire(self, activation: int, units: Iterable[int] = ()) -> None:
+        """Disable the group of ``activation`` for good.
+
+        Asserts ``-activation`` and each of ``units`` (which must make
+        the group's unguarded clauses satisfied), then releases the
+        group's variables and clauses from the attached solver, which
+        never branches on nor propagates through them again.
+        """
+        self.add_clause([-activation])
+        for lit in units:
+            self.add_clause([lit])
+        variables, clauses = self._groups.pop(activation, ((), ()))
+        if self.solver is not None:
+            self.solver.release(variables, clauses)
 
     def const(self, value: bool) -> int:
         return self.true_lit if value else self.false_lit
@@ -251,6 +315,7 @@ class BitVector:
             raise ValueError("BitVector needs at least one bit")
         self.cnf = cnf
         self.bits = list(bits)
+        self._live: Optional[int] = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -260,7 +325,8 @@ class BitVector:
 
     @classmethod
     def constant(cls, cnf: Cnf, value: int, width: int) -> "BitVector":
-        return cls(cnf, [cnf.const(bool((value >> i) & 1)) for i in range(width)])
+        true = cnf.true_lit
+        return cls(cnf, [true if (value >> i) & 1 else -true for i in range(width)])
 
     @property
     def width(self) -> int:
@@ -283,25 +349,51 @@ class BitVector:
         if self.width != other.width:
             raise ValueError(f"width mismatch {self.width} != {other.width}")
 
+    def live(self) -> int:
+        """How many low bits may differ from the constant false literal.
+
+        Under a folding :class:`Cnf` every gate with a constant input
+        folds away unencoded, so the word operations below stop at the
+        operands' live bits and fill the rest with the false literal
+        their folded gates would have returned: the same literals and
+        the same emitted clauses, without the Python work.  Without
+        folding every bit is live, and every gate is emitted.
+        """
+        top = self._live
+        if top is None:
+            bits = self.bits
+            top = len(bits)
+            cnf = self.cnf
+            if cnf.fold:
+                false = -cnf.true_lit
+                while top and bits[top - 1] == false:
+                    top -= 1
+            self._live = top
+        return top
+
+    def _pad(self, bits: list[int]) -> "BitVector":
+        """``bits`` extended with false literals to this vector's width."""
+        return BitVector(self.cnf, bits + [self.cnf.false_lit] * (self.width - len(bits)))
+
     # -- bitwise ----------------------------------------------------------------------
 
     def bit_and(self, other: "BitVector") -> "BitVector":
         self._check(other)
-        return BitVector(self.cnf, [
-            self.cnf.gate_and(a, b) for a, b in zip(self.bits, other.bits)
-        ])
+        top = min(self.live(), other.live())
+        gate = self.cnf.gate_and
+        return self._pad([gate(a, b) for a, b in zip(self.bits[:top], other.bits)])
 
     def bit_or(self, other: "BitVector") -> "BitVector":
         self._check(other)
-        return BitVector(self.cnf, [
-            self.cnf.gate_or(a, b) for a, b in zip(self.bits, other.bits)
-        ])
+        top = max(self.live(), other.live())
+        gate = self.cnf.gate_or
+        return self._pad([gate(a, b) for a, b in zip(self.bits[:top], other.bits)])
 
     def bit_xor(self, other: "BitVector") -> "BitVector":
         self._check(other)
-        return BitVector(self.cnf, [
-            self.cnf.gate_xor(a, b) for a, b in zip(self.bits, other.bits)
-        ])
+        top = max(self.live(), other.live())
+        gate = self.cnf.gate_xor
+        return self._pad([gate(a, b) for a, b in zip(self.bits[:top], other.bits)])
 
     def bit_not(self) -> "BitVector":
         return BitVector(self.cnf, [-b for b in self.bits])
@@ -311,16 +403,19 @@ class BitVector:
     def add(self, other: "BitVector") -> "BitVector":
         self._check(other)
         cnf = self.cnf
+        top = max(self.live(), other.live())
         carry = cnf.false_lit
         out = []
-        for a, b in zip(self.bits, other.bits):
+        for a, b in zip(self.bits[:top], other.bits):
             s = cnf.gate_xor(cnf.gate_xor(a, b), carry)
             carry = cnf.gate_or(
                 cnf.gate_and(a, b),
                 cnf.gate_and(carry, cnf.gate_xor(a, b)),
             )
             out.append(s)
-        return BitVector(cnf, out)
+        if top < self.width:
+            out.append(carry)  # both operands are false from here on
+        return self._pad(out)
 
     def negate(self) -> "BitVector":
         one = BitVector.constant(self.cnf, 1, self.width)
@@ -334,9 +429,13 @@ class BitVector:
         self._check(other)
         cnf = self.cnf
         acc = BitVector.constant(cnf, 0, self.width)
-        for i, bit in enumerate(other.bits):
+        false = cnf.false_lit
+        for i, bit in enumerate(other.bits[:other.live()]):
+            if bit == false and cnf.fold:
+                continue  # a zero partial product leaves acc as it is
             shifted = self.shift_left_const(i)
-            gated = BitVector(cnf, [cnf.gate_and(bit, s) for s in shifted.bits])
+            gated = shifted._pad([cnf.gate_and(bit, s)
+                                  for s in shifted.bits[:shifted.live()]])
             acc = acc.add(gated)
         return acc
 
@@ -355,8 +454,10 @@ class BitVector:
 
     def eq(self, other: "BitVector") -> int:
         self._check(other)
+        top = max(self.live(), other.live())
+        gate = self.cnf.gate_eq
         return self.cnf.gate_and_many([
-            self.cnf.gate_eq(a, b) for a, b in zip(self.bits, other.bits)
+            gate(a, b) for a, b in zip(self.bits[:top], other.bits)
         ])
 
     def ne(self, other: "BitVector") -> int:
@@ -376,19 +477,20 @@ class BitVector:
         return self.cnf.gate_or(self.lt_signed(other), self.eq(other))
 
     def is_zero(self) -> int:
-        return -self.cnf.gate_or_many(self.bits)
+        return -self.is_nonzero()
 
     def is_nonzero(self) -> int:
-        return self.cnf.gate_or_many(self.bits)
+        return self.cnf.gate_or_many(self.bits[:self.live()])
 
     # -- selection ----------------------------------------------------------------------------------
 
     def ite(self, sel: int, other: "BitVector") -> "BitVector":
         """Per-bit mux: sel ? self : other."""
         self._check(other)
-        return BitVector(self.cnf, [
-            self.cnf.gate_ite(sel, a, b) for a, b in zip(self.bits, other.bits)
-        ])
+        top = max(self.live(), other.live())
+        gate = self.cnf.gate_ite
+        return self._pad([gate(sel, a, b)
+                          for a, b in zip(self.bits[:top], other.bits)])
 
     def assert_equals_const(self, value: int) -> None:
         for i, lit in enumerate(self.bits):

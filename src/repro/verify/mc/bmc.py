@@ -19,12 +19,17 @@ across properties, bounds, and (via :meth:`add_mutant`) mutated designs.
 The session keeps its CNF small in two ways:
 
 - its :class:`Cnf` folds constant inputs and hash-conses AND/XOR/ITE
-  gates, so a gate over the same inputs is defined once (the constant
-  high bits of narrow signals fold away as well);
+  gates, so a gate over the same inputs is defined once; the constant
+  high bits of narrow signals are skipped by width-aware word
+  operations rather than folded bit by bit;
 - its time frames hold only the cone of influence of the properties
   queried so far: the transitive fan-in of the signals they read.  A
   query that reads new signals encodes their cone into every existing
   frame; frames are added as deeper bounds are requested.
+
+A retired mutant cone (:meth:`BoundedModelChecker.retire_mutant`)
+leaves the solver: its variables are never decided again and its
+clauses are detached from the watch lists.
 
 ``incremental=False`` restores the one-shot path that encodes every
 signal in every frame and solves once, which the differential
@@ -221,7 +226,9 @@ class BoundedModelChecker:
         """Unsigned comparison via MSB-first prefix equality."""
         result = cnf.false_lit
         prefix_eq = cnf.true_lit
-        for a, b in zip(reversed(left.bits), reversed(right.bits)):
+        # Above both operands' live bits every gate below folds away.
+        top = max(left.live(), right.live())
+        for a, b in zip(reversed(left.bits[:top]), reversed(right.bits[:top])):
             here = cnf.gate_and(prefix_eq, cnf.gate_and(-a, b))
             result = cnf.gate_or(result, here)
             prefix_eq = cnf.gate_and(prefix_eq, cnf.gate_eq(a, b))
@@ -347,7 +354,7 @@ class BoundedModelChecker:
         """``(variables, clauses)`` the incremental session has emitted."""
         if self._cnf is None:
             return 0, 0
-        return self._cnf.num_vars, len(self._cnf.clauses)
+        return self._cnf.num_vars, self._cnf.num_clauses
 
     # -- checking ----------------------------------------------------------------------------
 
@@ -551,8 +558,9 @@ class BoundedModelChecker:
         cnf = self._cnf
         query = cone.query.get(query_key)
         if query is None:
-            query = cnf.new_var()
-            cnf.add_clause([-query] + violation_lits)
+            with cnf.group(cone.act):
+                query = cnf.new_var()
+                cnf.add_clause([-query] + violation_lits)
             cone.query[query_key] = query
         solver = cnf.solver
         solver.num_vars = max(solver.num_vars, cnf.num_vars)
@@ -600,9 +608,15 @@ class BoundedModelChecker:
         return self._mutant_solve(cone, agg_key, all_lits, max_conflicts)
 
     def retire_mutant(self, act: int) -> None:
-        """Permanently disable a mutant cone's clauses."""
-        self._mutants.pop(act)
-        self._cnf.add_clause([-act])
+        """Permanently disable a mutant cone.
+
+        Asserts ``-act`` and the negation of each of the cone's query
+        literals, which satisfies every clause the cone emitted; the
+        solver then stops branching on the cone's variables and drops
+        its clauses from the watch lists.
+        """
+        cone = self._mutants.pop(act)
+        self._cnf.retire(act, [-query for query in cone.query.values()])
 
     def _atom_lit(self, atom: Atom, env: Mapping[str, BitVector],
                   cnf: Cnf) -> int:

@@ -2,10 +2,11 @@
 
 For every mutation of the design:
 
-1. **functional phase** — simulate original and mutant side by side on
-   random input sequences; a mutant whose observable outputs never
-   differ is *silent* (possibly equivalent) and excluded from the
-   denominator, as PCC's fault model prescribes;
+1. **functional phase** — simulate the mutant on random input
+   sequences against the original's outputs (simulated once per
+   checker); a mutant whose observable outputs never differ is
+   *silent* (possibly equivalent) and excluded from the denominator,
+   as PCC's fault model prescribes;
 2. **formal phase** — bounded-model-check the property set on the
    observable mutant; if every property still passes, the mutant
    *survives*: the properties do not constrain the behaviour the
@@ -208,6 +209,7 @@ class PropertyCoverageChecker:
         self.incremental = incremental
         self.jobs = jobs
         self._stimuli = self._build_stimuli()
+        self._golden: Optional[list[list[list[int]]]] = None
         self._session: Optional[BoundedModelChecker] = None
 
     def __getstate__(self) -> dict:
@@ -235,15 +237,30 @@ class PropertyCoverageChecker:
             return list(self.netlist.outputs)
         return list(self.netlist.registers)
 
+    def _golden_outputs(self) -> list[list[list[int]]]:
+        """The unmutated design's observed values, per sequence and step.
+
+        Simulated once per checker; every mutant is compared against it.
+        """
+        if self._golden is None:
+            observed = self._observable_signals()
+            self._golden = []
+            for sequence in self._stimuli:
+                state = self.netlist.reset_state()
+                trace = []
+                for step in sequence:
+                    state, values = self.netlist.step(state, step)
+                    trace.append([values[s] for s in observed])
+                self._golden.append(trace)
+        return self._golden
+
     def _differs(self, mutant: Netlist) -> bool:
         observed = self._observable_signals()
-        for sequence in self._stimuli:
-            state_a = self.netlist.reset_state()
-            state_b = mutant.reset_state()
-            for step in sequence:
-                state_a, values_a = self.netlist.step(state_a, step)
-                state_b, values_b = mutant.step(state_b, step)
-                if any(values_a[s] != values_b[s] for s in observed):
+        for sequence, golden in zip(self._stimuli, self._golden_outputs()):
+            state = mutant.reset_state()
+            for step, expected in zip(sequence, golden):
+                state, values = mutant.step(state, step)
+                if [values[s] for s in observed] != expected:
                     return True
         return False
 

@@ -1,5 +1,10 @@
 """Tests for the application task-graph abstraction."""
 
+import random
+import subprocess
+import sys
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +99,56 @@ class TestQueries:
         nxg = make_chain().to_networkx()
         assert set(nxg.nodes) == {"SRC", "MID", "SINK"}
         assert nxg.number_of_edges() == 2
+
+
+def random_graph(rng, acyclic=True):
+    """Random task graph with parallel channels; a DAG unless told not."""
+    graph = AppGraph("random")
+    names = [f"T{i:02d}" for i in range(rng.randint(1 if acyclic else 2, 12))]
+    rng.shuffle(names)  # insertion order != rank order
+    reads = {name: [] for name in names}
+    writes = {name: [] for name in names}
+    edges = []
+    if len(names) > 1:
+        for __ in range(rng.randint(0, 3 * len(names))):
+            i, j = sorted(rng.sample(range(len(names)), 2))
+            edges.append((names[i], names[j]))
+    if not acyclic:
+        loop = names[:rng.randint(2, len(names))]
+        edges += list(zip(loop, loop[1:] + loop[:1]))
+    for index, (src, dst) in enumerate(edges):
+        channel = f"c{index}"
+        writes[src].append(channel)
+        reads[dst].append(channel)
+    for name in names:
+        graph.add_task(TaskSpec(name, lambda s, i: {}, reads=tuple(reads[name]),
+                                writes=tuple(writes[name])))
+    for index, (src, dst) in enumerate(edges):
+        graph.add_channel(ChannelSpec(f"c{index}", src, dst))
+    return graph
+
+
+class TestTopologicalOrder:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_networkx_lexicographical_order(self, seed):
+        graph = random_graph(random.Random(seed))
+        graph.validate()
+        expected = list(nx.lexicographical_topological_sort(graph.to_networkx()))
+        assert graph.topological_order() == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cycle_raises_graph_error(self, seed):
+        graph = random_graph(random.Random(f"cyclic-{seed}"), acyclic=False)
+        graph.validate()
+        with pytest.raises(GraphError):
+            graph.topological_order()
+
+    def test_cli_import_leaves_networkx_unloaded(self):
+        probe = ("import sys, repro.cli; "
+                 "print('networkx' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestFunctionalRun:

@@ -137,3 +137,25 @@ class TestPropertyCoverage:
         for verdict in silent:
             assert verdict.killed_by is None
             assert not verdict.survived
+
+
+class TestGoldenSimulation:
+    @pytest.mark.parametrize("limit", [1, 5, 30])
+    def test_unmutated_design_is_stepped_once_per_stimulus(self, limit,
+                                                            monkeypatch):
+        net = handshake_netlist()
+        golden_steps = []
+        step = Netlist.step
+
+        def counting_step(self, state, inputs):
+            if self is net:
+                golden_steps.append(1)
+            return step(self, state, inputs)
+
+        monkeypatch.setattr(Netlist, "step", counting_step)
+        checker = PropertyCoverageChecker(net, WEAK, bound=4,
+                                          sim_sequences=3, sim_length=7,
+                                          mutation_limit=limit)
+        report = checker.run()
+        assert len(report.verdicts) == limit
+        assert len(golden_steps) == 3 * 7

@@ -160,14 +160,31 @@ class TestPerCallResets:
         assert solver.solve(assumptions=[1]) is SatResult.UNSAT
 
 
+class RecordingSolver(SatSolver):
+    """A solver that keeps the clause stream it received, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.received = []
+
+    def add_clause(self, literals):
+        literals = list(literals)
+        self.received.append(literals)
+        return super().add_clause(literals)
+
+
 class TestAttachedCnf:
     def test_attached_streams_clauses(self):
-        solver = SatSolver()
+        solver = RecordingSolver()
         cnf = Cnf(solver=solver)
         x = cnf.new_var()
         y = cnf.new_var()
         cnf.add_clause([x, y])
-        assert len(solver.clauses) == len(cnf.clauses)
+        # Every clause reaches the solver as it is emitted, and the
+        # attached Cnf keeps no second copy of it.
+        assert cnf.num_clauses == len(solver.received) == 2
+        assert solver.received[-1] == [x, y]
+        assert cnf.clauses == []
         result, model = cnf.solve(assumptions=[-x])
         assert result is SatResult.SAT
         assert model[y] is True
@@ -181,9 +198,12 @@ class TestAttachedCnf:
 
         plain = Cnf()
         a_plain = build(plain)
-        attached = Cnf(solver=SatSolver())
+        solver = RecordingSolver()
+        attached = Cnf(solver=solver)
         a_attached = build(attached)
-        assert plain.clauses == attached.clauses
+        assert len(plain.clauses) > 0
+        assert solver.received == plain.clauses
+        assert attached.num_clauses == plain.num_clauses == len(plain.clauses)
         rp, mp = plain.solve()
         ra, ma = attached.solve()
         assert rp is ra is SatResult.SAT
@@ -230,16 +250,18 @@ class TestStructuralHashing:
     def test_normalised_gates_are_shared(self):
         cnf = Cnf(solver=SatSolver(), fold=True)
         a, b, s = cnf.new_var(), cnf.new_var(), cnf.new_var()
+        before = cnf.num_clauses
         conj = cnf.gate_and(a, b)
         parity = cnf.gate_xor(a, b)
         mux = cnf.gate_ite(s, a, b)
-        emitted = len(cnf.clauses)
+        emitted = cnf.num_clauses
+        assert emitted - before == 3 + 4 + 4 > 0  # AND, XOR and ITE gates
         assert cnf.gate_and(b, a) == conj
         assert cnf.gate_or(-a, -b) == -conj
         assert cnf.gate_xor(b, a) == cnf.gate_xor(-a, -b) == parity
         assert cnf.gate_xor(-a, b) == cnf.gate_xor(a, -b) == -parity
         assert cnf.gate_ite(-s, b, a) == mux
-        assert len(cnf.clauses) == emitted
+        assert cnf.num_clauses == emitted
 
     def test_unfolded_cnf_never_shares(self):
         cnf = Cnf()
